@@ -14,6 +14,7 @@
 package bebop_bench
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"strings"
@@ -174,10 +175,14 @@ func BenchmarkFig8Final(b *testing.B) {
 // simulated per wall second) — the cost of one Baseline_6_60 run.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	prof, _ := workload.ProfileByName("gcc")
+	src := workload.ProfileSource{Prof: prof}
 	b.ResetTimer()
 	totalUOps := uint64(0)
 	for i := 0; i < b.N; i++ {
-		res := core.Run(prof, 50_000, core.Baseline())
+		res, err := core.RunSourceCtx(context.Background(), src, 25_000, 50_000, core.Baseline())
+		if err != nil {
+			b.Fatal(err)
+		}
 		totalUOps += res.UOps
 	}
 	b.ReportMetric(float64(totalUOps)/b.Elapsed().Seconds(), "µops/s")
@@ -189,11 +194,15 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // number.
 func BenchmarkSimulatorThroughputBeBoP(b *testing.B) {
 	prof, _ := workload.ProfileByName("gcc")
+	src := workload.ProfileSource{Prof: prof}
 	mk := core.EOLEBeBoP("Medium", core.MediumConfig())
 	b.ResetTimer()
 	totalUOps := uint64(0)
 	for i := 0; i < b.N; i++ {
-		res := core.Run(prof, 50_000, mk)
+		res, err := core.RunSourceCtx(context.Background(), src, 25_000, 50_000, mk)
+		if err != nil {
+			b.Fatal(err)
+		}
 		totalUOps += res.UOps
 	}
 	b.ReportMetric(float64(totalUOps)/b.Elapsed().Seconds(), "µops/s")

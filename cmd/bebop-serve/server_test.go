@@ -265,6 +265,26 @@ func TestV1RunMalformedSpec(t *testing.T) {
 	}
 }
 
+// TestV1RunPanickingGeometry: a predictor geometry that passes spec
+// validation but that the D-VTAGE constructor rejects by panicking
+// fails that run, detailed or sampled, and the server keeps serving.
+func TestV1RunPanickingGeometry(t *testing.T) {
+	ts := testServer(t, serverConfig{defaultInsts: 5_000})
+	geom := `"bebop":{"npred":4,"base_entries":100,"tagged_entries":128,"stride_bits":8}`
+	for _, body := range []string{
+		`{"workload":"swim",` + geom + `}`,
+		`{"workload":"swim","sampling":{},` + geom + `}`,
+	} {
+		resp, blob := postJSON(t, ts.URL+"/v1/runs", body)
+		if resp.StatusCode < 500 || !strings.Contains(string(blob), "panicked") {
+			t.Fatalf("%s: status %d (%s), want the recovered panic as a 5xx", body, resp.StatusCode, blob)
+		}
+	}
+	if resp, blob := postJSON(t, ts.URL+"/v1/runs", `{"workload":"swim"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("run after the failed ones: %d (%s)", resp.StatusCode, blob)
+	}
+}
+
 func TestV1RunBudgetClamping(t *testing.T) {
 	ts := testServer(t, serverConfig{defaultInsts: 4_000, maxInsts: 6_000})
 
@@ -389,7 +409,7 @@ func TestV1CatalogEndpoints(t *testing.T) {
 	}
 }
 
-func TestV1SweepsAndDeprecatedRunAlias(t *testing.T) {
+func TestV1Sweeps(t *testing.T) {
 	ts := testServer(t, serverConfig{defaultInsts: 5_000})
 
 	// table3 is static (no simulation), so this exercises the full sweep
@@ -409,27 +429,6 @@ func TestV1SweepsAndDeprecatedRunAlias(t *testing.T) {
 		t.Fatalf("unknown experiment: %d %s", resp.StatusCode, blob)
 	}
 
-	// The deprecated GET /run alias answers with the same table and a
-	// Deprecation header.
-	resp, err := http.Get(ts.URL + "/run?exp=table3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "true" {
-		t.Fatalf("legacy /run: %d (Deprecation=%q)", resp.StatusCode, resp.Header.Get("Deprecation"))
-	}
-	if !bytes.Equal(legacy, blobOf(t, ts.URL)) {
-		t.Fatalf("legacy alias diverged from /v1/sweeps:\n%s\n---\n%s", legacy, blobOf(t, ts.URL))
-	}
-}
-
-// blobOf fetches the canonical /v1/sweeps table3 response.
-func blobOf(t *testing.T, base string) []byte {
-	t.Helper()
-	_, blob := postJSON(t, base+"/v1/sweeps", `{"experiments":["table3"]}`)
-	return blob
 }
 
 func getJSON(t *testing.T, url string, v any) {

@@ -8,7 +8,7 @@ import (
 
 // Micro-benchmarks for the per-branch hot path: History.Push and
 // History.Fold below the whole-pipeline level, so a regression in the
-// folded-register machinery is visible without running bebop-bench.
+// folded-register machinery is visible without a whole-pipeline run.
 //
 // The folded/registered variants are the production configuration; the
 // plain/slow variants are the from-scratch reference path they replaced.

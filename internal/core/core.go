@@ -11,12 +11,15 @@
 //
 // and the predictor configurations of Table III (Small_4p, Small_6p,
 // Medium, Large) plus the exploration configurations of Fig. 6.
+//
+// Every configuration is measured one way: warm all structures, then
+// measure. RunSourceCtx does it in full detail, RunSampled estimates it
+// from evenly-spaced detailed intervals.
 package core
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime/debug"
 	"sync"
 
@@ -46,17 +49,6 @@ var (
 // stateful, so every simulation run needs its own instance.
 type ConfigFactory func() pipeline.Config
 
-// Run simulates one workload profile under the given configuration and
-// returns the result. The first insts/2 instructions warm all structures
-// (caches, branch predictor, value predictor) and the remaining insts are
-// measured, mirroring the paper's Simpoint methodology (Section V-C:
-// "warm up all structures for 50M instructions, then collect statistics
-// for 100M instructions").
-func Run(prof workload.Profile, insts int64, mk ConfigFactory) pipeline.Result {
-	warmup := insts / 2
-	return RunWarm(prof, warmup, insts, mk)
-}
-
 // procPool recycles processors across simulation jobs: engine workers and
 // sweeps run many (configuration, workload) pairs back to back, and
 // Processor.Reset clears the TAGE/BTB/cache/store-set tables in place
@@ -77,25 +69,28 @@ func acquireProc(cfg pipeline.Config, stream isa.Stream) *pipeline.Processor {
 	return pipeline.New(cfg, stream)
 }
 
-// RunWarm simulates warmup+insts instructions, reporting statistics only
-// for the final insts.
-func RunWarm(prof workload.Profile, warmup, insts int64, mk ConfigFactory) pipeline.Result {
-	gen := workload.New(prof, warmup+insts)
-	proc := acquireProc(mk(), gen)
-	r := proc.RunWarm(warmup, 0)
+// withProcessor is the one place a run holds a pooled processor: it
+// builds a configuration with mk, acquires a processor for it over
+// stream and runs body on it, all under panic isolation. A panicking
+// pipeline (simulator bug on a pathological input, a configuration the
+// predictor constructors reject, chaos injection at a fault point, a
+// stream that panics) becomes an error carrying the stack instead of
+// taking down the process and every other in-flight run. The processor
+// goes back to procPool only when body returns: after a panic its
+// tables are in an unknown state and must not poison a later run, so
+// the pool re-allocates.
+func withProcessor(mk ConfigFactory, stream isa.Stream, body func(*pipeline.Processor) error) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			mRunPanics.Inc()
+			err = fmt.Errorf("core: simulation panicked: %v\n%s", rec, debug.Stack())
+		}
+	}()
+	proc := acquireProc(mk(), stream)
+	err = body(proc)
 	proc.Release()
 	procPool.Put(proc)
-	return r
-}
-
-// RunByName is Run for a named Table II workload.
-func RunByName(bench string, insts int64, mk ConfigFactory) (pipeline.Result, error) {
-	prof, ok := workload.ProfileByName(bench)
-	if !ok {
-		return pipeline.Result{}, fmt.Errorf("core: %w",
-			util.UnknownName("workload", bench, workload.Names()))
-	}
-	return Run(prof, insts, mk), nil
+	return err
 }
 
 // errStream is implemented by streams that can fail mid-run (a corrupt
@@ -106,27 +101,70 @@ type errStream interface{ Err() error }
 // (trace.Reader); generators produce however many are asked for.
 type sizedStream interface{ TotalInsts() (int64, bool) }
 
-// RunSource is Run over any workload source — a synthetic profile or a
-// recorded trace. The warmup/measure split matches Run (first insts/2
-// instructions warm all structures), so replaying a trace of a profile
-// reproduces Run(profile) bit-identically.
-func RunSource(src workload.Source, insts int64, mk ConfigFactory) (pipeline.Result, error) {
-	return RunSourceCtx(context.Background(), src, insts/2, insts, mk)
+// openCovering opens src for a warmup+insts run and refuses a source
+// that knows it is too short: a half-warmed run silently labeled as
+// measured would poison every comparison against it. Both run paths
+// share it, so a detailed run and a sampled estimate accept and reject
+// the same sources with the same error.
+func openCovering(src workload.Source, warmup, insts int64) (isa.Stream, error) {
+	stream, err := src.Open(warmup + insts)
+	if err != nil {
+		return nil, err
+	}
+	ss, ok := stream.(sizedStream)
+	if !ok {
+		return stream, nil
+	}
+	switch total, known := ss.TotalInsts(); {
+	case !known:
+		// A sized stream that cannot state its length (a trace streamed
+		// without patched header counts) is exactly the case where a
+		// short run would pass silently; refuse it.
+		closeStream(stream)
+		return nil, fmt.Errorf(
+			"core: workload %q has an unknown instruction count; replay it from a seekable source",
+			src.Name())
+	case total < warmup+insts:
+		closeStream(stream)
+		return nil, fmt.Errorf(
+			"core: workload %q holds %d instructions, need %d (%d warmup + %d measured); shrink -n or record a longer trace",
+			src.Name(), total, warmup+insts, warmup, insts)
+	}
+	return stream, nil
+}
+
+type progressKey struct{}
+
+// WithProgress returns a context carrying a coarse progress observer,
+// read by both run paths: RunSourceCtx calls fn about every 1K streamed
+// instructions with the count so far and the warmup+insts budget;
+// RunSampled calls it once per finished interval with (done×per,
+// total×per), per being one interval's detailed budget
+// (DetailWarmup+IntervalInsts). Calls are serialized and done strictly
+// increases, but fn runs on simulation goroutines and must be fast.
+// Progress is an observer: it never changes a Result.
+func WithProgress(ctx context.Context, fn func(done, total int64)) context.Context {
+	return context.WithValue(ctx, progressKey{}, fn)
+}
+
+func progressFrom(ctx context.Context) func(done, total int64) {
+	fn, _ := ctx.Value(progressKey{}).(func(done, total int64))
+	return fn
 }
 
 // cancelStream wraps a workload stream so a cancelled context ends the
 // run: Next polls ctx every cancelCheckInsts instructions and reports
 // end-of-stream once the context is done, letting the pipeline drain its
 // in-flight window and return; the recorded context error then surfaces
-// through RunSourceCtx's errStream check. The wrapper is pass-through
-// otherwise, so a run that is never cancelled stays bit-identical to an
-// unwrapped one.
+// through RunSourceCtx's errStream check. The same poll feeds the
+// progress observer. The wrapper is pass-through otherwise, so a run
+// that is never cancelled stays bit-identical to an unwrapped one.
 type cancelStream struct {
 	inner isa.Stream
 	ctx   context.Context
 	n     int64
 	total int64
-	on    func(streamed, total int64)
+	on    func(done, total int64)
 	err   error
 }
 
@@ -158,92 +196,54 @@ func (c *cancelStream) Err() error {
 	return nil
 }
 
-// RunSourceCtx is RunSource with an explicit warmup budget and a context
-// observed mid-run: warmup+insts instructions are simulated, statistics
-// are reported for the final insts, and a cancelled ctx stops the
-// simulation within ~1K instructions and returns ctx's error. A trace too
-// short for the warmup+measure budget is an error: a half-warmed run
-// silently labeled as measured would poison every comparison against it.
+// RunSourceCtx simulates one workload source — a synthetic profile
+// (workload.ProfileSource) or a recorded trace — in full detail under
+// the given configuration: warmup+insts instructions run, the first
+// warmup only train the caches, branch and value predictors, and
+// statistics are reported for the final insts. This mirrors the paper's
+// Simpoint methodology (Section V-C: "warm up all structures for 50M
+// instructions, then collect statistics for 100M instructions"); the
+// tools warm for insts/2, so replaying a trace of a profile reproduces
+// the profile's run bit-identically.
+//
+// A cancelled ctx stops the simulation within ~1K instructions and
+// returns ctx's error; a WithProgress observer in ctx is called on the
+// same poll. A source too short for the warmup+measure budget is an
+// error.
 func RunSourceCtx(ctx context.Context, src workload.Source, warmup, insts int64, mk ConfigFactory) (pipeline.Result, error) {
-	return RunSourceProgress(ctx, src, warmup, insts, mk, nil)
-}
-
-// RunSourceProgress is RunSourceCtx with a coarse progress callback: on is
-// invoked about every 1K streamed instructions with the number streamed so
-// far and the total warmup+insts budget. It must be fast; it runs on the
-// simulation goroutine.
-func RunSourceProgress(ctx context.Context, src workload.Source, warmup, insts int64, mk ConfigFactory, on func(streamed, total int64)) (pipeline.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return pipeline.Result{}, err
 	}
-	stream, err := src.Open(warmup + insts)
+	stream, err := openCovering(src, warmup, insts)
 	if err != nil {
 		return pipeline.Result{}, err
 	}
-	if ss, ok := stream.(sizedStream); ok {
-		total, known := ss.TotalInsts()
-		if !known || total < warmup+insts {
-			if c, ok := stream.(io.Closer); ok {
-				c.Close()
-			}
-			if !known {
-				// A sized stream that cannot state its length (a trace
-				// streamed without patched header counts) is exactly the
-				// case where a short run would pass silently; refuse it.
-				return pipeline.Result{}, fmt.Errorf(
-					"core: workload %q has an unknown instruction count; replay it from a seekable source",
-					src.Name())
-			}
-			return pipeline.Result{}, fmt.Errorf(
-				"core: workload %q holds %d instructions, need %d (%d warmup + %d measured); shrink -n or record a longer trace",
-				src.Name(), total, warmup+insts, warmup, insts)
-		}
-	}
-	// Wrap for cancellation only when the context can actually be
-	// cancelled: the polling wrapper stays off the hot path for plain
+	// Wrap only when the context can be cancelled or observed: the
+	// polling wrapper stays off the hot path for plain
 	// context.Background runs (benchmarks, allocation gates). The size
-	// check above ran against the raw stream, so wrapping cannot turn a
-	// sized source into an unsized-looking one.
+	// check ran against the raw stream, so wrapping cannot turn a sized
+	// source into an unsized-looking one.
 	run := stream
-	if ctx.Done() != nil || on != nil {
+	if on := progressFrom(ctx); ctx.Done() != nil || on != nil {
 		run = &cancelStream{inner: stream, ctx: ctx, total: warmup + insts, on: on}
 	}
 	sp := telemetry.TraceFrom(ctx).Start("detailed").SetInsts(warmup + insts)
-	r, err := runDetailed(mk, run, warmup)
+	var r pipeline.Result
+	err = withProcessor(mk, run, func(proc *pipeline.Processor) error {
+		if err := faultinject.Fire("core.run"); err != nil {
+			return err
+		}
+		r = proc.RunWarm(warmup, 0)
+		return nil
+	})
 	sp.End()
 	if es, ok := run.(errStream); ok && es.Err() != nil && err == nil {
 		err = fmt.Errorf("core: workload %q: %w", src.Name(), es.Err())
 	}
-	if c, ok := stream.(io.Closer); ok {
-		if cerr := c.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if cerr := closeStream(stream); cerr != nil && err == nil {
+		err = cerr
 	}
 	return r, err
-}
-
-// runDetailed executes one detailed simulation pass with panic
-// isolation: a panicking pipeline (simulator bug on a pathological
-// input, chaos injection at the "core.run" point) becomes a per-run
-// error carrying the stack instead of taking down the process and every
-// other in-flight run. On panic the processor is deliberately NOT
-// released back to procPool — its tables are in an unknown state and
-// must not poison a later run; the pool re-allocates.
-func runDetailed(mk ConfigFactory, run isa.Stream, warmup int64) (r pipeline.Result, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			mRunPanics.Inc()
-			err = fmt.Errorf("core: simulation panicked: %v\n%s", rec, debug.Stack())
-		}
-	}()
-	if err := faultinject.Fire("core.run"); err != nil {
-		return pipeline.Result{}, err
-	}
-	proc := acquireProc(mk(), run)
-	r = proc.RunWarm(warmup, 0)
-	proc.Release()
-	procPool.Put(proc)
-	return r, nil
 }
 
 // Baseline returns the Baseline_6_60 factory.

@@ -11,7 +11,6 @@ import (
 	"bebop/internal/core"
 	"bebop/internal/engine"
 	"bebop/internal/faultinject"
-	"bebop/internal/perf"
 	"bebop/internal/workload"
 	"bebop/sim"
 )
@@ -153,7 +152,7 @@ func TestChaosFrameDecodeFaultFailsCleanly(t *testing.T) {
 	const insts = 20_000
 	src := recordTestTrace(t, t.TempDir(), "gcc", 3*insts)
 	armFault(t, "trace.frame.decode", faultinject.Plan{Nth: 3})
-	_, err := core.RunSource(src, insts, perf.Configs()[0].Mk)
+	_, err := core.RunSourceCtx(context.Background(), src, insts/2, insts, pinnedConfigs()[0].Mk)
 	if err == nil {
 		t.Fatal("decode fault did not surface")
 	}
@@ -175,7 +174,7 @@ func TestChaosSlowWorkerTimesOut(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := core.RunSourceCtx(ctx, src, 1_000, 100_000_000, perf.Configs()[0].Mk)
+	_, err := core.RunSourceCtx(ctx, src, 1_000, 100_000_000, pinnedConfigs()[0].Mk)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -199,7 +198,7 @@ func TestChaosIntervalPanicFailsRunNotProcess(t *testing.T) {
 		Parallelism:   2,
 	}
 	armFault(t, "core.interval", faultinject.Plan{Mode: faultinject.ModePanic, Nth: 3})
-	_, _, err := core.RunSampled(context.Background(), src, warmup, insts, perf.Configs()[0].Mk, sp)
+	_, _, err := core.RunSampled(context.Background(), src, warmup, insts, pinnedConfigs()[0].Mk, sp)
 	if err == nil {
 		t.Fatal("interval panic did not fail the run")
 	}
@@ -209,11 +208,11 @@ func TestChaosIntervalPanicFailsRunNotProcess(t *testing.T) {
 
 	// Disarmed, the same pool serves a healthy deterministic run.
 	faultinject.Default.Reset()
-	ref, _, err := core.RunSampled(context.Background(), src, warmup, insts, perf.Configs()[0].Mk, sp)
+	ref, _, err := core.RunSampled(context.Background(), src, warmup, insts, pinnedConfigs()[0].Mk, sp)
 	if err != nil {
 		t.Fatalf("run after recovered panic: %v", err)
 	}
-	got, _, err := core.RunSampled(context.Background(), src, warmup, insts, perf.Configs()[0].Mk, sp)
+	got, _, err := core.RunSampled(context.Background(), src, warmup, insts, pinnedConfigs()[0].Mk, sp)
 	if err != nil {
 		t.Fatal(err)
 	}

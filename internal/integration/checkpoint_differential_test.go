@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"bebop/internal/perf"
 	"bebop/internal/pipeline"
 	"bebop/internal/trace"
 	"bebop/internal/workload"
@@ -34,7 +33,7 @@ func recordTestTrace(t *testing.T, dir, bench string, insts int64) trace.FileSou
 }
 
 // TestCheckpointRestoreBitIdentical is the behavior pin for the
-// checkpoint subsystem: for every pinned perf configuration, warming a
+// checkpoint subsystem: for every pinned configuration, warming a
 // processor over [0, k), snapshotting, round-tripping the snapshot
 // through the gob side-file on disk, restoring it into a *recycled*
 // (Reset, pool-style) processor whose trace reader was seeked to k, and
@@ -44,7 +43,7 @@ func recordTestTrace(t *testing.T, dir, bench string, insts int64) trace.FileSou
 // prediction statistics, cache misses, everything.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	const k, m = 9000, 21000
-	for _, cfg := range perf.Configs() {
+	for _, cfg := range pinnedConfigs() {
 		cfg := cfg
 		for _, bench := range []string{"gcc", "mcf"} {
 			bench := bench
@@ -139,7 +138,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 func TestCheckpointValidationRejectsMismatch(t *testing.T) {
 	const m = 4000
 	src := recordTestTrace(t, t.TempDir(), "gcc", m)
-	cfg := perf.Configs()[0]
+	cfg := pinnedConfigs()[0]
 	s, err := src.Open(2000)
 	if err != nil {
 		t.Fatal(err)

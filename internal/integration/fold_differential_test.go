@@ -3,7 +3,6 @@ package integration
 import (
 	"testing"
 
-	"bebop/internal/perf"
 	"bebop/internal/pipeline"
 	"bebop/internal/workload"
 )
@@ -18,7 +17,7 @@ import (
 // cycles, IPC, branch and value prediction statistics, cache misses.
 func TestIncrementalFoldsBitIdentical(t *testing.T) {
 	const insts = 6000
-	for _, cfg := range perf.Configs() {
+	for _, cfg := range pinnedConfigs() {
 		cfg := cfg
 		for _, prof := range workload.Profiles() {
 			prof := prof

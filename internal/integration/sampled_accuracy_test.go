@@ -6,11 +6,10 @@ import (
 	"testing"
 
 	"bebop/internal/core"
-	"bebop/internal/perf"
 )
 
 // TestSampledAccuracyWithinCI is the accuracy gate for sampled
-// simulation: for both pinned perf configurations on gcc and mcf, the
+// simulation: for both pinned configurations on gcc and mcf, the
 // sampled IPC estimate must lie within its own reported 95% confidence
 // interval of the full-detail IPC over the same measured region. The
 // whole stack is deterministic, so this is a fixed property of the
@@ -26,7 +25,7 @@ func TestSampledAccuracyWithinCI(t *testing.T) {
 		WarmupInsts:   60_000,
 		DetailWarmup:  2_000,
 	}
-	for _, cfg := range perf.Configs() {
+	for _, cfg := range pinnedConfigs() {
 		cfg := cfg
 		for _, bench := range []string{"gcc", "mcf"} {
 			bench := bench

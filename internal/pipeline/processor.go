@@ -215,8 +215,8 @@ func (p *Processor) initHistoryFolds() {
 // the dynInst/UOp pool and — when the table geometry is unchanged — the
 // TAGE, BTB, cache and store-set arrays, which are cleared in place
 // instead of reallocated. A Reset processor behaves identically to one
-// built with New(cfg, stream); internal/perf and the engine workers use
-// this to recycle processors across jobs.
+// built with New(cfg, stream); core's processor pool uses this to recycle
+// processors across jobs.
 func (p *Processor) Reset(cfg Config, stream isa.Stream) {
 	// Predictor/cache tables: clear in place when the geometry matches,
 	// rebuild otherwise.

@@ -1,8 +1,7 @@
-// Package prof wires runtime/pprof into the command-line tools: every
-// perf-facing command (bebop-bench, bebop-sim) exposes -cpuprofile and
-// -memprofile flags through it, so a performance investigation starts
-// from a profile instead of a guess. See README "Profiling the hot loop"
-// for the workflow.
+// Package prof wires runtime/pprof into the command-line tools:
+// bebop-sim exposes -cpuprofile and -memprofile flags through it, so a
+// performance investigation starts from a profile instead of a guess.
+// See README "Profiling the hot loop" for the workflow.
 package prof
 
 import (

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -87,7 +88,7 @@ func TestRoundTripAllProfiles(t *testing.T) {
 // for every profile, running a processor from the recorded trace yields
 // the same pipeline.Result as running it from the live generator.
 func TestReplayResultIdenticalAllProfiles(t *testing.T) {
-	const insts = 2000 // core.Run consumes 1.5× this (warmup + measure)
+	const insts = 2000 // the run consumes 1.5× this (warmup + measure)
 	dir := t.TempDir()
 	for _, prof := range workload.Profiles() {
 		data := record(t, prof, insts+insts/2, trace.WriterOptions{FrameInsts: 600})
@@ -95,8 +96,11 @@ func TestReplayResultIdenticalAllProfiles(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		live := core.Run(prof, insts, core.Baseline())
-		replay, err := core.RunSource(trace.NewFileSource(path), insts, core.Baseline())
+		live, err := core.RunSourceCtx(context.Background(), workload.ProfileSource{Prof: prof}, insts/2, insts, core.Baseline())
+		if err != nil {
+			t.Fatalf("%s: live: %v", prof.Name, err)
+		}
+		replay, err := core.RunSourceCtx(context.Background(), trace.NewFileSource(path), insts/2, insts, core.Baseline())
 		if err != nil {
 			t.Fatalf("%s: replay: %v", prof.Name, err)
 		}
@@ -299,9 +303,26 @@ type noSeek struct{ r *bytes.Reader }
 
 func (n noSeek) Read(p []byte) (int, error) { return n.r.Read(p) }
 
+// streamSource replays a buffer-recorded trace through a non-seekable
+// reader: no index and no patched header counts, so its length is
+// unknown.
+type streamSource struct{ data []byte }
+
+func (s streamSource) Name() string { return "gcc-stream" }
+
+func (s streamSource) Open(int64) (isa.Stream, error) {
+	r, err := trace.NewReader(noSeek{bytes.NewReader(s.data)})
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 // TestRunSourceRejectsShortTrace: a trace shorter than the
-// warmup+measure budget errors instead of silently reporting a cold,
-// short run as measured statistics.
+// warmup+measure budget, or one that cannot state its length, errors
+// instead of silently reporting a cold, short run as measured
+// statistics. The detailed and the sampled entry point share the check,
+// so both must refuse each trace with the identical error.
 func TestRunSourceRejectsShortTrace(t *testing.T) {
 	prof, _ := workload.ProfileByName("gcc")
 	path := filepath.Join(t.TempDir(), "gcc-short"+trace.Ext)
@@ -310,13 +331,47 @@ func TestRunSourceRejectsShortTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := trace.NewFileSource(path)
-	// 1.5 × 10000 > 10000: must refuse.
-	if _, err := core.RunSource(src, 10000, core.Baseline()); err == nil ||
-		!strings.Contains(err.Error(), "10000 instructions") {
-		t.Fatalf("short trace accepted: %v", err)
+	ctx := context.Background()
+	sp := core.SamplingParams{Intervals: 2, IntervalInsts: 1000}
+	entries := []struct {
+		name string
+		run  func(src workload.Source, insts int64) error
+	}{
+		{"RunSourceCtx", func(src workload.Source, insts int64) error {
+			_, err := core.RunSourceCtx(ctx, src, insts/2, insts, core.Baseline())
+			return err
+		}},
+		{"RunSampled", func(src workload.Source, insts int64) error {
+			_, _, err := core.RunSampled(ctx, src, insts/2, insts, core.Baseline(), sp)
+			return err
+		}},
+	}
+	cases := []struct {
+		src   workload.Source
+		insts int64
+		want  string
+	}{
+		// 1.5 × 10000 > 10000: must refuse.
+		{src, 10000, "10000 instructions"},
+		// Would fit, but the stream cannot say so: must refuse.
+		{streamSource{data}, 6666, "unknown instruction count"},
+	}
+	for _, c := range cases {
+		var first string
+		for _, e := range entries {
+			err := e.run(c.src, c.insts)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s: %s accepted at %d insts: %v", e.name, c.src.Name(), c.insts, err)
+			}
+			if first == "" {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Fatalf("%s: entry points disagree:\n%s\n%s", c.src.Name(), first, err)
+			}
+		}
 	}
 	// Exactly fitting budget (warmup 3333 + measured 6666 = 9999) runs.
-	if _, err := core.RunSource(src, 6666, core.Baseline()); err != nil {
+	if _, err := core.RunSourceCtx(ctx, src, 3333, 6666, core.Baseline()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -193,10 +193,13 @@ func (s *Sim) Run(ctx context.Context) (Report, error) {
 			return cfg
 		}
 	}
+	if s.progress != nil {
+		ctx = core.WithProgress(ctx, s.progress)
+	}
 	if spec.Sampling != nil {
 		return s.runSampled(ctx, spec, src, mk, tr)
 	}
-	res, err := core.RunSourceProgress(ctx, src, *spec.Warmup, spec.Insts, mk, s.progress)
+	res, err := core.RunSourceCtx(ctx, src, *spec.Warmup, spec.Insts, mk)
 	if err != nil {
 		return Report{}, err
 	}
@@ -217,16 +220,6 @@ func (s *Sim) runSampled(ctx context.Context, spec RunSpec, src workload.Source,
 		IntervalInsts: spec.Sampling.IntervalInsts,
 		WarmupInsts:   spec.Sampling.Warmup,
 		DetailWarmup:  spec.Sampling.DetailWarmup,
-	}
-	if s.progress != nil {
-		// Map per-interval completion onto the (streamed, total) progress
-		// contract: each interval contributes its detailed budget. Calls
-		// arrive serialized from core.RunSampled, one per interval.
-		per := spec.Sampling.DetailWarmup + spec.Sampling.IntervalInsts
-		on := s.progress
-		sp.OnInterval = func(done, total int) {
-			on(int64(done)*per, int64(total)*per)
-		}
 	}
 	if spec.Sampling.Checkpoints {
 		fs, ok := src.(trace.FileSource)
