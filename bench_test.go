@@ -2,15 +2,17 @@
 // table and figure of the paper's evaluation (Section VI). One benchmark
 // per artefact; each reports the paper's headline metric (geometric-mean
 // speedup, per-config summaries) as testing.B custom metrics, and prints
-// the full series under -v.
+// the full table under -v.
 //
 // Run everything:
 //
 //	go test -bench=. -benchmem
 //
 // The default instruction budget keeps a full run laptop-scale; set
-// BEBOP_BENCH_INSTS to raise it (the sweeps in EXPERIMENTS.md use the
-// default so they are reproducible as-is).
+// BEBOP_BENCH_INSTS to raise it. The same tables, over any workload set
+// and budget and as text, JSON or CSV, come from bebop-sweep:
+//
+//	go run ./cmd/bebop-sweep -exp fig8 -n 60000
 package bebop_bench
 
 import (
@@ -21,6 +23,7 @@ import (
 	"testing"
 
 	"bebop/internal/core"
+	"bebop/internal/engine"
 	"bebop/internal/experiments"
 	"bebop/internal/workload"
 )
@@ -58,7 +61,7 @@ func BenchmarkTable2BaselineIPC(b *testing.B) {
 		}
 		b.ReportMetric(sum/float64(len(rows)), "meanIPC")
 		if b.N == 1 && testing.Verbose() {
-			experiments.RenderTable2(os.Stdout, rows)
+			printReport(b, r, "table2")
 		}
 	}
 }
@@ -73,7 +76,7 @@ func BenchmarkFig5aPredictors(b *testing.B) {
 			b.ReportMetric(s.Summary.GMean, metric("gmean-", s.Name))
 		}
 		if b.N == 1 && testing.Verbose() {
-			experiments.RenderSeriesTable(os.Stdout, "Fig 5(a)", series)
+			printReport(b, r, "fig5a")
 		}
 	}
 }
@@ -98,7 +101,7 @@ func BenchmarkFig6aNpred(b *testing.B) {
 			b.ReportMetric(s.Summary.GMean, metric("gmean-", s.Name))
 		}
 		if b.N == 1 && testing.Verbose() {
-			experiments.RenderSummaries(os.Stdout, "Fig 6(a)", series)
+			printReport(b, r, "fig6a")
 		}
 	}
 }
@@ -125,7 +128,7 @@ func BenchmarkPartialStrides(b *testing.B) {
 			b.ReportMetric(row.StorageKB, metric("KB-", row.Series.Name))
 		}
 		if b.N == 1 && testing.Verbose() {
-			experiments.RenderStrides(os.Stdout, rows)
+			printReport(b, r, "partial")
 		}
 	}
 }
@@ -150,7 +153,7 @@ func BenchmarkFig7bWindow(b *testing.B) {
 			b.ReportMetric(s.Summary.GMean, metric("gmean-", s.Name))
 		}
 		if b.N == 1 && testing.Verbose() {
-			experiments.RenderSummaries(os.Stdout, "Fig 7(b)", series)
+			printReport(b, r, "fig7b")
 		}
 	}
 }
@@ -166,7 +169,7 @@ func BenchmarkFig8Final(b *testing.B) {
 			b.ReportMetric(s.Summary.GMean, metric("gmean-", s.Name))
 		}
 		if b.N == 1 && testing.Verbose() {
-			experiments.RenderSeriesTable(os.Stdout, "Fig 8", series)
+			printReport(b, r, "fig8")
 		}
 	}
 }
@@ -206,6 +209,19 @@ func BenchmarkSimulatorThroughputBeBoP(b *testing.B) {
 		totalUOps += res.UOps
 	}
 	b.ReportMetric(float64(totalUOps)/b.Elapsed().Seconds(), "µops/s")
+}
+
+// printReport writes one experiment's table to stdout. The benchmark has
+// already run the experiment's sweep, so Report is served from the
+// runner's engine cache.
+func printReport(b *testing.B, r *experiments.Runner, id string) {
+	rep, err := r.Report(id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := engine.WriteText(os.Stdout, rep); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // metric builds a ReportMetric unit from a series label (units must not

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -112,16 +113,24 @@ func main() {
 	}
 
 	// Text output streams experiment by experiment (a long -exp all run
-	// shows results as they complete); JSON and CSV emit one document.
+	// shows results as they complete), a blank line between tables; JSON
+	// and CSV emit one document.
 	if *format == "text" {
 		norm, err := spec.Validate()
 		if err != nil {
 			fatal(err)
 		}
-		for _, id := range norm.Experiments {
+		for i, id := range norm.Experiments {
+			var buf bytes.Buffer
+			if i > 0 {
+				buf.WriteByte('\n')
+			}
 			sub := norm
 			sub.Experiments = []string{id}
-			if err := sw.Write(ctx, os.Stdout, "text", sub); err != nil {
+			if err := sw.Write(ctx, &buf, "text", sub); err != nil {
+				fatal(err)
+			}
+			if _, err := os.Stdout.Write(buf.Bytes()); err != nil {
 				fatal(err)
 			}
 		}

@@ -15,37 +15,8 @@ func constJob(key, bench string, v int) Job[int] {
 	return Job[int]{Key: key, Bench: bench, Run: func(context.Context) (int, error) { return v, nil }}
 }
 
-func TestShardDistribution(t *testing.T) {
-	e := New[int](Options{Shards: 8, Workers: 4})
-	var jobs []Job[int]
-	for i := 0; i < 256; i++ {
-		jobs = append(jobs, constJob(fmt.Sprintf("cfg%d", i), "bench", i))
-	}
-	if _, err := e.RunBatch(context.Background(), jobs); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.Entries != 256 {
-		t.Fatalf("entries = %d, want 256", st.Entries)
-	}
-	if len(st.ShardEntries) != 8 {
-		t.Fatalf("%d shards, want 8", len(st.ShardEntries))
-	}
-	for i, n := range st.ShardEntries {
-		// FNV-1a over 256 keys into 8 stripes: every stripe must carry a
-		// meaningful share (a single hot stripe would recreate the global
-		// mutex this design removes).
-		if n == 0 {
-			t.Errorf("shard %d is empty", i)
-		}
-		if n > 256/2 {
-			t.Errorf("shard %d holds %d/256 entries; distribution collapsed", i, n)
-		}
-	}
-}
-
 func TestSeparatorKeysDoNotCollide(t *testing.T) {
-	e := New[int](Options{Shards: 4, Workers: 2})
+	e := New[int](Options{Workers: 2})
 	rs, err := e.RunBatch(context.Background(), []Job[int]{
 		constJob("a", "b/c", 1),
 		constJob("a/b", "c", 2),

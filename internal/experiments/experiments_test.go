@@ -116,11 +116,21 @@ func TestResultsCached(t *testing.T) {
 	}
 }
 
+// render runs one experiment and writes its table in format f, the way
+// every front-end does: nothing is written unless the run succeeded.
+func render(r *Runner, w *bytes.Buffer, id string, f engine.Format) error {
+	rep, err := r.Report(id)
+	if err != nil {
+		return err
+	}
+	return f.Write(w, rep)
+}
+
 func TestRenderAll(t *testing.T) {
 	r := NewRunner(Options{Insts: 10_000, Workloads: []string{"gzip", "swim"}})
 	for _, id := range []string{"table2", "table3"} {
 		var buf bytes.Buffer
-		if err := r.RunAndRender(&buf, id); err != nil {
+		if err := render(r, &buf, id, engine.FormatText); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		if buf.Len() == 0 {
@@ -128,25 +138,25 @@ func TestRenderAll(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := r.RunAndRender(&buf, "bogus"); err == nil {
+	if err := render(r, &buf, "bogus", engine.FormatText); err == nil {
 		t.Fatal("bogus experiment id accepted")
 	}
 }
 
 func TestExperimentIDsComplete(t *testing.T) {
 	ids := strings.Join(ExperimentIDs(), ",")
-	for _, want := range []string{"table2", "fig5a", "fig5b", "fig6a", "fig6b", "partial", "fig7a", "fig7b", "table3", "fig8"} {
+	for _, want := range []string{"table2", "fig5a", "fig5b", "fig6a", "fig6b", "partial", "fig7a", "fig7b", "table3", "fig8", "ablation", "probe"} {
 		if !strings.Contains(ids, want) {
 			t.Fatalf("experiment %s missing from %s", want, ids)
 		}
 	}
 }
 
-func TestRenderFormats(t *testing.T) {
+func TestReportFormats(t *testing.T) {
 	r := NewRunner(Options{Insts: 10_000, Workloads: []string{"gzip", "swim"}})
 
 	var jsonBuf bytes.Buffer
-	if err := r.RenderFormat(&jsonBuf, "table2", engine.FormatJSON); err != nil {
+	if err := render(r, &jsonBuf, "table2", engine.FormatJSON); err != nil {
 		t.Fatal(err)
 	}
 	var reports []engine.Report
@@ -158,7 +168,7 @@ func TestRenderFormats(t *testing.T) {
 	}
 
 	var csvBuf bytes.Buffer
-	if err := r.RenderFormat(&csvBuf, "table3", engine.FormatCSV); err != nil {
+	if err := render(r, &csvBuf, "table3", engine.FormatCSV); err != nil {
 		t.Fatal(err)
 	}
 	out := csvBuf.String()
@@ -166,7 +176,7 @@ func TestRenderFormats(t *testing.T) {
 		t.Fatalf("unexpected CSV output:\n%s", out)
 	}
 
-	if err := r.RenderFormat(&bytes.Buffer{}, "bogus", engine.FormatJSON); err == nil {
+	if err := render(r, &bytes.Buffer{}, "bogus", engine.FormatJSON); err == nil {
 		t.Fatal("bogus experiment id accepted")
 	}
 }
@@ -176,7 +186,7 @@ func TestRunnerCancellation(t *testing.T) {
 	cancel()
 	r := NewRunner(Options{Insts: 10_000, Workloads: []string{"gzip"}}).WithContext(ctx)
 	var buf bytes.Buffer
-	if err := r.RunAndRender(&buf, "table2"); err == nil {
+	if err := render(r, &buf, "table2", engine.FormatText); err == nil {
 		t.Fatal("cancelled render succeeded")
 	}
 	if buf.Len() != 0 {
@@ -195,16 +205,6 @@ func TestWithWorkloadsSharesCache(t *testing.T) {
 	st := r.Engine().Stats()
 	if st.Runs != 2 || st.Hits != 1 {
 		t.Fatalf("runs=%d hits=%d, want 2 runs and 1 hit", st.Runs, st.Hits)
-	}
-}
-
-func TestMinMaxOf(t *testing.T) {
-	s := Series{Bench: []string{"a", "b"}, Speedup: []float64{1.2, 0.9}}
-	if b, v := MinOf(s); b != "b" || v != 0.9 {
-		t.Fatalf("MinOf: %s %v", b, v)
-	}
-	if b, v := MaxOf(s); b != "a" || v != 1.2 {
-		t.Fatalf("MaxOf: %s %v", b, v)
 	}
 }
 

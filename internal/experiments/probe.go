@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"bebop/internal/core"
 	"bebop/internal/engine"
@@ -104,10 +103,12 @@ func (r *Runner) ProbeCurves() ([]ProbeCurve, error) {
 
 // probeReport lays cliff curves out as one row per (family, pressure):
 // the CSV form is what the full-resolution CI step uploads as artifacts.
-func probeReport(curves []ProbeCurve) engine.Report {
+func probeReport(r *Runner) (engine.Report, error) {
+	curves, err := r.ProbeCurves()
+	if err != nil {
+		return engine.Report{}, err
+	}
 	rep := engine.Report{
-		ID:      "probe",
-		Title:   "Probe cliff curves: accuracy vs geometry pressure",
 		Columns: []string{"axis", "pressure", "config", "ipc", "br_mpki", "vp_coverage", "vp_accuracy"},
 	}
 	for _, c := range curves {
@@ -123,21 +124,5 @@ func probeReport(curves []ProbeCurve) engine.Report {
 			})
 		}
 	}
-	return rep
-}
-
-// RenderProbeCurves prints cliff curves as per-family text tables.
-func RenderProbeCurves(w io.Writer, curves []ProbeCurve) {
-	for i, c := range curves {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		fmt.Fprintf(w, "== probe/%s (%s) under %s ==\n", c.Family.Name, c.Family.Doc, c.Config)
-		fmt.Fprintf(w, "%10s %8s %10s %12s %12s\n", c.Family.Axis, "ipc", "br_mpki", "vp_coverage", "vp_accuracy")
-		for _, pt := range c.Points {
-			res := pt.Result
-			fmt.Fprintf(w, "%10d %8.3f %10.3f %12.3f %12.3f\n",
-				pt.Pressure, res.IPC, res.BrMispPKI, res.VP.Coverage(), res.VP.Accuracy())
-		}
-	}
+	return rep, nil
 }

@@ -2,7 +2,7 @@
 // evaluation (Section VI): each runner executes the required configuration
 // sweep over the Table II workload suite and returns the same rows/series
 // the paper reports. Simulations are scheduled through internal/engine, a
-// sharded job engine that caches per-configuration cycle counts so shared
+// job engine that caches per-configuration cycle counts so shared
 // baselines (Baseline_6_60, Baseline_VP_6_60, EOLE_4_60) simulate once per
 // session — across experiments and, for the serving front-end, across
 // requests.
@@ -19,15 +19,13 @@ import (
 	"bebop/internal/workload"
 )
 
-// Kind-level sentinels, so front-ends can map failures onto protocol
-// statuses with errors.Is instead of matching message text. The errors
-// carrying them are util.UnknownNameError values (one shared formatting
-// for every unknown-name failure), reachable with errors.As when the
-// caller wants the valid-name list.
-var (
-	ErrUnknownExperiment = util.ErrUnknownKind("experiment")
-	ErrUnknownBenchmark  = util.ErrUnknownKind("workload")
-)
+// ErrUnknownBenchmark is the kind-level sentinel for unknown workload
+// names, so front-ends can map failures onto protocol statuses with
+// errors.Is instead of matching message text. The errors carrying it are
+// util.UnknownNameError values (one shared formatting for every
+// unknown-name failure), reachable with errors.As when the caller wants
+// the valid-name list.
+var ErrUnknownBenchmark = util.ErrUnknownKind("workload")
 
 // Options controls an experiment session.
 type Options struct {
@@ -45,12 +43,6 @@ type Options struct {
 	OnProgress func(engine.Event)
 }
 
-// DefaultOptions runs the full suite at 100K instructions per workload, a
-// laptop-scale budget that keeps predictor warmup meaningful.
-func DefaultOptions() Options {
-	return Options{Insts: 100_000}
-}
-
 // Runner executes experiments on top of a shared engine. Scheduling
 // failures are recorded on the Runner (see Err) rather than returned by
 // every figure method, so a Runner is NOT safe for concurrent use by
@@ -64,10 +56,14 @@ type Runner struct {
 	err  error
 }
 
+// defaultInsts is the per-workload budget when Options.Insts is unset: a
+// laptop-scale budget that keeps predictor warmup meaningful.
+const defaultInsts = 100_000
+
 // NewRunner builds a Runner with a fresh engine.
 func NewRunner(opts Options) *Runner {
 	if opts.Insts <= 0 {
-		opts.Insts = DefaultOptions().Insts
+		opts.Insts = defaultInsts
 	}
 	if opts.Catalog == nil {
 		opts.Catalog = workload.DefaultCatalog()
@@ -189,28 +185,4 @@ func (r *Runner) baselineVPDVTAGE() map[string]pipeline.Result {
 
 func (r *Runner) eole() map[string]pipeline.Result {
 	return r.Results("EOLE_4_60", core.EOLEInstVP())
-}
-
-// MinOf returns the benchmark with the minimum speedup in a series.
-func MinOf(s Series) (bench string, v float64) {
-	v = 2 << 20
-	for i, x := range s.Speedup {
-		if x < v {
-			v = x
-			bench = s.Bench[i]
-		}
-	}
-	return
-}
-
-// MaxOf returns the benchmark with the maximum speedup in a series.
-func MaxOf(s Series) (bench string, v float64) {
-	v = -1
-	for i, x := range s.Speedup {
-		if x > v {
-			v = x
-			bench = s.Bench[i]
-		}
-	}
-	return
 }

@@ -36,9 +36,9 @@ func (e *UnknownNameError) Error() string {
 }
 
 // Is lets errors.Is match an UnknownNameError against the kind-level
-// sentinels returned by ErrUnknownKind, so packages can keep exporting
-// `var ErrUnknownExperiment = util.ErrUnknownKind("experiment")` and
-// existing errors.Is checks continue to work.
+// sentinels returned by ErrUnknownKind, so packages can export one
+// (e.g. experiments.ErrUnknownBenchmark = util.ErrUnknownKind("workload"))
+// and callers test for it with errors.Is.
 func (e *UnknownNameError) Is(target error) bool {
 	k, ok := target.(unknownKind)
 	return ok && string(k) == e.Kind

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bebop/internal/core"
+	"bebop/internal/engine"
 	"bebop/internal/trace"
 	"bebop/internal/workload"
 )
@@ -290,6 +291,14 @@ func TestSweeper(t *testing.T) {
 	if !strings.Contains(buf.String(), "Table III") {
 		t.Fatalf("text output missing title: %q", buf.String())
 	}
+	// Text is a rendering of the same tables JSON and CSV emit.
+	var want bytes.Buffer
+	if err := engine.WriteText(&want, tables...); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want.String() {
+		t.Fatalf("text output is not WriteText(Tables):\ngot:\n%s\nwant:\n%s", buf.String(), want.String())
+	}
 
 	var ue *UnknownNameError
 	if _, err := sw.Tables(context.Background(), SweepSpec{Experiments: []string{"nope"}}); !errors.As(err, &ue) || ue.Kind != "experiment" {
@@ -360,6 +369,15 @@ func TestSweepSpecDedupesExperiments(t *testing.T) {
 	}
 	if seen["fig8"] != 1 || len(spec.Experiments) != len(Experiments()) {
 		t.Fatalf("experiment ids not deduped: %v", spec.Experiments)
+	}
+
+	// A repeated workload runs once but would weigh twice in every gmean.
+	spec, err = SweepSpec{Workloads: []string{" gzip", "gzip", "swim", "gzip"}}.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(spec.Workloads, ","); got != "gzip,swim" {
+		t.Fatalf("workloads not normalized: %q", spec.Workloads)
 	}
 }
 

@@ -411,7 +411,8 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 
 // Validate checks the sweep spec and returns its normalized form:
 // experiment ids lowercased and resolved ("all"/empty expands to every
-// experiment), unknown ids and workloads rejected with the valid names.
+// experiment), unknown ids rejected with the valid names, and ids and
+// workload names deduplicated, first occurrence kept.
 func (s SweepSpec) Validate() (SweepSpec, error) {
 	out := s
 	switch {
@@ -459,8 +460,22 @@ func (s SweepSpec) Validate() (SweepSpec, error) {
 		ids = experiments.ExperimentIDs()
 	}
 	out.Experiments = ids
-	// Workload names are NOT checked here: only the sweep session knows
-	// its catalog (a -trace-dir scanned at Sweeper construction), so the
-	// Sweeper validates them against it and reports the real name list.
+	// Workload names are trimmed and deduplicated (a repeated name would
+	// weigh its workload twice in every gmean) but NOT checked here: only
+	// the sweep session knows its catalog (a -trace-dir scanned at
+	// Sweeper construction), so the Sweeper validates them against it and
+	// reports the real name list.
+	if len(out.Workloads) > 0 {
+		names := make([]string, 0, len(out.Workloads))
+		seenName := make(map[string]bool)
+		for _, w := range out.Workloads {
+			w = strings.TrimSpace(w)
+			if !seenName[w] {
+				seenName[w] = true
+				names = append(names, w)
+			}
+		}
+		out.Workloads = names
+	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -114,18 +113,20 @@ func (s *Sweeper) Stats() EngineStats {
 	}
 }
 
-// view validates spec against this Sweeper and derives the
-// request-scoped runner executing it.
-func (s *Sweeper) view(ctx context.Context, spec SweepSpec) (*experiments.Runner, SweepSpec, error) {
+// Tables validates spec against this Sweeper, runs the sweep on a
+// request-scoped view of the shared cache and returns one table per
+// experiment, in spec order: the one form that Write renders as text,
+// JSON or CSV.
+func (s *Sweeper) Tables(ctx context.Context, spec SweepSpec) ([]ExperimentTable, error) {
 	spec, err := spec.Validate()
 	if err != nil {
-		return nil, SweepSpec{}, err
+		return nil, err
 	}
 	if spec.Insts != 0 && spec.Insts != s.opts.Insts {
-		return nil, SweepSpec{}, &BudgetError{Want: spec.Insts, Fixed: s.opts.Insts}
+		return nil, &BudgetError{Want: spec.Insts, Fixed: s.opts.Insts}
 	}
 	if spec.TraceDir != "" && spec.TraceDir != s.opts.TraceDir {
-		return nil, SweepSpec{}, &BudgetError{TraceDir: true, WantDir: spec.TraceDir, FixedDir: s.opts.TraceDir}
+		return nil, &BudgetError{TraceDir: true, WantDir: spec.TraceDir, FixedDir: s.opts.TraceDir}
 	}
 	for _, w := range spec.Workloads {
 		found := false
@@ -136,55 +137,30 @@ func (s *Sweeper) view(ctx context.Context, spec SweepSpec) (*experiments.Runner
 			}
 		}
 		if !found {
-			return nil, SweepSpec{}, util.UnknownName("workload", w, s.names)
+			return nil, util.UnknownName("workload", w, s.names)
 		}
 	}
 	r := s.runner.WithContext(ctx)
 	if len(spec.Workloads) > 0 {
 		r = r.WithWorkloads(spec.Workloads)
 	}
-	return r, spec, nil
-}
-
-// Tables runs the sweep and returns one table per experiment, in spec
-// order — the machine-readable form the JSON/CSV emitters and the HTTP
-// service render.
-func (s *Sweeper) Tables(ctx context.Context, spec SweepSpec) ([]ExperimentTable, error) {
-	r, spec, err := s.view(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
 	return r.Reports(spec.Experiments)
 }
 
-// Write runs the sweep and renders it to w as "text", "json" or "csv"
-// (see Formats). Output is buffered per run, so a mid-sweep failure
-// (e.g. cancellation) yields an error, not a partial document.
+// Write runs the sweep and renders its Tables to w as "text", "json" or
+// "csv" (see Formats). Every table is built before anything is written,
+// so a mid-sweep failure (e.g. cancellation) yields an error, not a
+// partial document.
 func (s *Sweeper) Write(ctx context.Context, w io.Writer, format string, spec SweepSpec) error {
 	f, err := engine.ParseFormat(format)
 	if err != nil {
 		return util.UnknownName("format", format, engine.Formats())
 	}
-	r, spec, err := s.view(ctx, spec)
+	tables, err := s.Tables(ctx, spec)
 	if err != nil {
 		return err
 	}
-	if f == engine.FormatText {
-		var buf bytes.Buffer
-		for _, id := range spec.Experiments {
-			if err := r.RunAndRender(&buf, id); err != nil {
-				return err
-			}
-			buf.WriteByte('\n')
-		}
-		_, err := w.Write(buf.Bytes())
-		return err
-	}
-	reports, err := r.Reports(spec.Experiments)
-	if err != nil {
-		return err
-	}
-	return f.Write(w, reports...)
+	return f.Write(w, tables...)
 }
 
 // ExperimentTable is one rendered experiment: a labelled table (columns
